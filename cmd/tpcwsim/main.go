@@ -39,8 +39,9 @@
 //	agingmon rejuv-history
 //
 // -transport picks how rounds travel from the nodes to the aggregator:
-// inproc (direct calls), gob, or binary (the delta-encoded wire codec) —
-// verdicts are transport-independent by construction. With -batch K
+// inproc (direct calls) or binary (the delta-encoded wire codec, which
+// also carries actuation commands) — verdicts are transport-independent
+// by construction. With -batch K
 // (binary transport only) each node's forwarder packs K rounds into one
 // v5 BATCH frame before writing; -lanes and -foldworkers size the
 // aggregator's sharded ingest plane and parallel fold pool (0 = package
@@ -87,7 +88,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/eb"
 	"repro/internal/experiment"
@@ -112,7 +112,7 @@ func main() {
 		hold     = flag.Bool("hold", false, "keep serving the management plane after the run ends")
 		nodes    = flag.Int("nodes", 1, "cluster size (1 = the paper's single-node testbed)")
 		leakNode = flag.String("leaknode", "node2", "node to arm the leak on in cluster mode")
-		trans    = flag.String("transport", "inproc", "cluster round transport: inproc, gob or binary")
+		trans    = flag.String("transport", "inproc", "cluster round transport: inproc or binary")
 		rejuvOn  = flag.Bool("rejuvenate", false, "cluster mode: actuate verdicts — drain, micro-reboot, probation, re-admit")
 		batch    = flag.Int("batch", 0, "rounds per v5 BATCH frame on the binary transport (0/1 = one round per frame)")
 		lanes    = flag.Int("lanes", 0, "aggregator ingest lanes (0 = package default)")
@@ -241,13 +241,10 @@ func runCluster(addr string, duration time.Duration, ebs int, leak string, leakS
 	}
 	switch transport {
 	case "inproc", "":
-	case "gob":
-		cfg.WireTransport = true
 	case "binary":
 		cfg.WireTransport = true
-		cfg.WireCodec = cluster.CodecBinary
 	default:
-		log.Fatalf("unknown -transport %q (want inproc, gob or binary)", transport)
+		log.Fatalf("unknown -transport %q (want inproc or binary)", transport)
 	}
 	if batch > 1 {
 		if transport != "binary" {

@@ -101,7 +101,10 @@ func TestResetNodeClearsDetectionHistory(t *testing.T) {
 // notification queue and the ingest lanes must never race, and every
 // published notification must be drained exactly once.
 func TestDrainNotificationsUnderConcurrentIngest(t *testing.T) {
-	a := New(Config{Detect: testDetect()})
+	// The publishers run free, so one may get a whole run ahead of
+	// another; a staleness window wider than the run keeps every node
+	// active, so the leak stays cluster-wide whatever the scheduling.
+	a := New(Config{Detect: testDetect(), StaleEpochs: 64})
 	const nodes = 8
 	names := make([]string, nodes)
 	for i := range names {
@@ -127,6 +130,9 @@ func TestDrainNotificationsUnderConcurrentIngest(t *testing.T) {
 		select {
 		case <-time.After(time.Millisecond):
 		case <-publishersDone:
+			// Ingest has returned, but the last folds (and the
+			// notifications they queue) may still be in flight.
+			a.SyncFolds()
 			draining = false
 		}
 		total += len(a.DrainNotifications())

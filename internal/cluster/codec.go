@@ -10,7 +10,7 @@ import (
 )
 
 // This file implements the hand-rolled binary wire codec for sampling
-// rounds — the high-density alternative to the gob transport. The format
+// rounds, the one format the cluster wire speaks. The format
 // is specified in docs/architecture.md ("Binary wire format"); the golden
 // test in codec_test.go pins the bytes so the format cannot drift
 // silently between versions, and FuzzBinaryCodec exercises the round-trip
@@ -34,16 +34,18 @@ import (
 // per-sample flag falling back to XOR-against-previous raw bits for
 // floats outside the nanosecond grid, so the codec stays lossless over
 // the full float64 domain. A steady-state round of N samples costs
-// roughly 4 + 7·N bytes on the wire, an order of magnitude under the
-// equivalent gob frame — and both encoder and decoder reuse their
-// buffers, so neither end allocates at steady state.
+// roughly 4 + 7·N bytes on the wire, and both encoder and decoder reuse
+// their buffers, so neither end allocates at steady state. That is the
+// point of a hand-rolled codec: the monitor ships a round every sampling
+// interval from every node, so its wire must not itself load the system
+// it watches.
 //
-// The codec deliberately carries less generality than gob: sampling
+// The codec deliberately trades generality for density: sampling
 // instants must be within the int64-nanosecond Unix range (years
 // 1678–2262; monitoring timestamps always are), and decoded times carry
 // the UTC location. Verdicts are unaffected — the aggregator consumes
-// instants, not locations — and TestClusterTransportParity holds the gob
-// and binary transports to byte-identical verdicts.
+// instants, not locations — and TestClusterTransportParity holds the
+// binary wire and the in-process transport to byte-identical verdicts.
 
 // wireMagic opens every binary round stream: three identifying bytes and
 // one format version byte. Bump the version on any incompatible change;

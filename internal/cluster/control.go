@@ -14,7 +14,7 @@
 // Routing is learned, not configured: ServeBinaryConn registers each node
 // name it decodes rounds for against that connection, so a command to
 // node N rides whatever connection N last published on. In-process nodes
-// (InProc or gob transports, tests, the simulated cluster) register a
+// (the InProc transport, tests, the simulated cluster) register a
 // ControlHandler directly with BindLocalControl; local handlers run
 // synchronously on the sender's goroutine, which keeps single-process
 // scenarios deterministic.
@@ -246,8 +246,8 @@ type pendingControl struct {
 
 // BindLocalControl registers a synchronous in-process control handler
 // for node — the actuation route for nodes sharing the aggregator's
-// process (InProc and gob transports, whose streams carry no control
-// frames). A local binding takes precedence over a learned wire route.
+// process (the InProc transport, which carries no control frames). A
+// local binding takes precedence over a learned wire route.
 func (a *Aggregator) BindLocalControl(node string, h ControlHandler) {
 	a.ctlMu.Lock()
 	if h == nil {
@@ -412,7 +412,7 @@ func (w *BinaryWire) sendControlAck(ack ControlAck) error {
 		w.enc.started = true
 	}
 	frame = AppendControlAckFrame(frame, ack)
-	if _, err := writeFrameRetry(w.conn, frame, w.timeout, w.retry, &w.rng); err != nil {
+	if err := writeFrameRetry(w.conn, frame, w.timeout, w.retry, &w.rng); err != nil {
 		w.broken = true
 		_ = w.conn.Close()
 		return err

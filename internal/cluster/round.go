@@ -45,7 +45,7 @@ import (
 // Round is one node's sampling round as shipped to the aggregator: the
 // node identity, the node-local 1-based sequence number, the node-local
 // sampling instant, and the per-component measurements. All fields are
-// exported so rounds cross process boundaries unchanged (gob over net).
+// exported so custom Transports can read and rebuild a round whole.
 //
 // Samples is borrowed along the whole shipping path: the forwarder passes
 // the collector's round buffer through Publish, and the wire decoders

@@ -212,7 +212,7 @@ func (s *StandbyShipper) Ship() error {
 	f = append(f, p...)
 	s.frame = f
 
-	if _, err := writeFrameRetry(s.conn, f, s.timeout, s.retry, &s.rng); err != nil {
+	if err := writeFrameRetry(s.conn, f, s.timeout, s.retry, &s.rng); err != nil {
 		s.broken = true
 		s.errs.Add(1)
 		_ = s.conn.Close()

@@ -12,11 +12,13 @@ import (
 
 // feedCluster publishes `rounds` synchronized rounds for every node over
 // its own transport: per round, the nodes publish concurrently (arbitrary
-// cross-node interleaving, which the epoch fold must absorb), and the
-// next round starts only after the aggregator has ingested the current
-// one — nodes sample at the same cadence in a real cluster, they do not
-// run minutes ahead of each other.
-func feedCluster(t *testing.T, agg *Aggregator, trs map[string]Transport, leaks map[string]int64, rounds int64) {
+// cross-node interleaving, which the epoch fold must absorb), and every
+// `barrier` rounds the feed flushes batching transports and waits until
+// the aggregator has ingested everything published so far — nodes sample
+// at the same cadence in a real cluster, they do not run minutes ahead
+// of each other. It returns once every fold those rounds complete has
+// published its reports.
+func feedCluster(t *testing.T, agg *Aggregator, trs map[string]Transport, leaks map[string]int64, rounds, barrier int64) {
 	t.Helper()
 	t0 := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
 	for seq := int64(1); seq <= rounds; seq++ {
@@ -32,8 +34,21 @@ func feedCluster(t *testing.T, agg *Aggregator, trs map[string]Transport, leaks 
 			}(node, tr)
 		}
 		wg.Wait()
+		if seq%barrier != 0 && seq != rounds {
+			continue
+		}
+		for node, tr := range trs {
+			if bw, ok := tr.(*BinaryWire); ok {
+				if err := bw.Flush(); err != nil {
+					t.Fatalf("flush %s/%d: %v", node, seq, err)
+				}
+			}
+		}
 		waitRounds(t, agg, int64(len(trs))*seq)
 	}
+	// TotalRounds counts a round at ingest, before the fold it completes
+	// has run; fold to the final watermark before callers read reports.
+	agg.SyncFolds()
 }
 
 // waitRounds blocks until the aggregator has ingested n rounds (wire
@@ -61,11 +76,11 @@ func clusterVerdictsOf(rep *ClusterReport) any {
 }
 
 // TestWireAndInProcProduceIdenticalVerdicts runs the same three-node
-// round set through the in-process transport and through both wire
-// codecs (gob and binary) over net pipes with concurrent per-node
-// publishers, and requires byte-identical cluster and per-node verdicts:
-// the epoch fold must absorb arbitrary cross-node interleaving, and the
-// codec choice must be invisible to detection.
+// round set through the in-process transport and through the binary wire
+// over net pipes with concurrent per-node publishers, unbatched and with
+// 4-round BATCH frames, and requires byte-identical cluster and per-node
+// verdicts: the epoch fold must absorb arbitrary cross-node interleaving,
+// and the transport must be invisible to detection.
 func TestWireAndInProcProduceIdenticalVerdicts(t *testing.T) {
 	nodes := []string{"node1", "node2", "node3"}
 	leaks := map[string]int64{"node1": 0, "node2": 4096, "node3": 0}
@@ -84,26 +99,32 @@ func TestWireAndInProcProduceIdenticalVerdicts(t *testing.T) {
 		}
 	}
 
-	for _, codec := range []string{"gob", "binary"} {
-		t.Run(codec, func(t *testing.T) {
-			wired := New(Config{Detect: testDetect()})
+	for _, v := range []struct {
+		name  string
+		batch int
+	}{{"binary", 1}, {"binary-batched", 4}} {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := Config{Detect: testDetect()}
+			if v.batch > 1 {
+				// A node whose batch lands first runs up to a batch of
+				// epochs ahead, so the staleness window must exceed the
+				// batch or the laggards are evicted.
+				cfg.StaleEpochs = 2 * v.batch
+			}
+			wired := New(cfg)
 			wired.Expect(nodes...)
 			trs := make(map[string]Transport, len(nodes))
 			for _, n := range nodes {
 				client, server := net.Pipe()
-				if codec == "gob" {
-					go func() { _ = wired.ServeConn(server) }()
-					w := NewWire(client)
-					defer w.Close()
-					trs[n] = w
-				} else {
-					go func() { _ = wired.ServeBinaryConn(server) }()
-					w := NewBinaryWire(client)
-					defer w.Close()
-					trs[n] = w
+				go func() { _ = wired.ServeBinaryConn(server) }()
+				w := NewBinaryWire(client)
+				if err := w.SetBatch(v.batch, 0); err != nil {
+					t.Fatal(err)
 				}
+				defer w.Close()
+				trs[n] = w
 			}
-			feedCluster(t, wired, trs, leaks, rounds)
+			feedCluster(t, wired, trs, leaks, rounds, int64(v.batch))
 
 			for _, res := range core.DetectorResources {
 				a, b := clusterVerdictsOf(inproc.Report(res)), clusterVerdictsOf(wired.Report(res))
@@ -161,45 +182,12 @@ func TestBinaryWireOverTCP(t *testing.T) {
 		defer w.Close()
 		trs[n] = w
 	}
-	feedCluster(t, agg, trs, map[string]int64{"node1": 4096, "node2": 4096, "node3": 4096}, rounds)
+	feedCluster(t, agg, trs, map[string]int64{"node1": 4096, "node2": 4096, "node3": 4096}, rounds, 1)
 
 	rep := agg.Report(core.ResourceMemory)
 	top, ok := rep.Top()
 	if !ok || top.Component != "leaky" || !top.ClusterWide {
 		t.Fatalf("binary TCP cluster verdict wrong: %v", rep)
-	}
-}
-
-// TestWireOverTCP exercises the real-socket path end to end: an
-// aggregator serving a TCP listener, three dialed node connections.
-func TestWireOverTCP(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("cannot listen on loopback: %v", err)
-	}
-	defer ln.Close()
-
-	agg := New(Config{Detect: testDetect()})
-	nodes := []string{"node1", "node2", "node3"}
-	agg.Expect(nodes...)
-	go agg.Serve(ln)
-
-	const rounds = 12
-	trs := make(map[string]Transport, len(nodes))
-	for _, n := range nodes {
-		w, err := DialWire("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		defer w.Close()
-		trs[n] = w
-	}
-	feedCluster(t, agg, trs, map[string]int64{"node1": 4096, "node2": 4096, "node3": 4096}, rounds)
-
-	rep := agg.Report(core.ResourceMemory)
-	top, ok := rep.Top()
-	if !ok || top.Component != "leaky" || !top.ClusterWide {
-		t.Fatalf("TCP cluster verdict wrong: %v", rep)
 	}
 }
 
@@ -242,8 +230,8 @@ func TestTransportClosedPublishFails(t *testing.T) {
 
 	client, server := net.Pipe()
 	done := make(chan struct{})
-	go func() { _ = agg.ServeConn(server); close(done) }()
-	w := NewWire(client)
+	go func() { _ = agg.ServeBinaryConn(server); close(done) }()
+	w := NewBinaryWire(client)
 	if err := w.Publish(Round{Node: "n", Seq: 1, Time: time.Unix(0, 0)}); err != nil {
 		t.Fatalf("publish on open pipe: %v", err)
 	}

@@ -48,14 +48,12 @@ type ClusterConfig struct {
 	Policy cluster.Policy
 	// Quorum overrides the aggregator's cluster-wide quorum fraction.
 	Quorum float64
-	// WireTransport ships rounds over net.Pipe connections instead of
-	// in-process calls, exercising a real serialisation path; verdicts
-	// must not depend on the choice.
+	// WireTransport ships rounds over binary-codec net.Pipe connections
+	// instead of in-process calls, exercising a real serialisation path
+	// and carrying actuation as control frames on the same connection;
+	// verdicts must not depend on the choice.
 	WireTransport bool
-	// WireCodec selects the serialisation when WireTransport is set:
-	// gob (the default) or the delta-encoded binary codec.
-	WireCodec cluster.WireCodec
-	// WireBatchRounds, when > 1 with the binary codec, buffers that many
+	// WireBatchRounds, when > 1 with WireTransport, buffers that many
 	// rounds per BATCH frame on each node's wire (the fleet fan-in flush
 	// policy). Verdicts must not depend on it — Sync flushes partial
 	// batches before its round barrier. A node that flushes a full batch
@@ -77,7 +75,7 @@ type ClusterConfig struct {
 	// subscribes to the aggregator's epoch verdicts and drives the
 	// drain / micro-reboot / probation / re-admit cycle against the
 	// balancer and the nodes' frameworks (wire control frames under
-	// WireTransport+CodecBinary, synchronous local handlers otherwise).
+	// WireTransport, synchronous local handlers otherwise).
 	Rejuv *rejuv.Config
 	// RejuvControl, when set with Rejuv, wraps the controller's command
 	// channel — the hook chaos scenarios use to lose or delay actuation
@@ -331,36 +329,26 @@ func (cs *ClusterStack) buildNode(name string, cfg ClusterConfig) (*ClusterNode,
 
 	var tr cluster.Transport
 	var flushWire func() error
-	wireControl := false
+	var control cluster.ControlHandler
 	if cfg.WireTransport {
 		client, server := net.Pipe()
-		switch cfg.WireCodec {
-		case cluster.CodecBinary:
-			go func() { _ = cs.Aggregator.ServeBinaryConn(server) }()
-			bw := cluster.NewBinaryWire(client)
-			if cfg.WireBatchRounds > 1 {
-				if err := bw.SetBatch(cfg.WireBatchRounds, cfg.WireBatchDelay); err != nil {
-					return nil, err
-				}
-				// Keep the raw wire in hand: Chaos may wrap the transport,
-				// but Sync's barrier still needs to flush partial batches.
-				flushWire = bw.Flush
+		go func() { _ = cs.Aggregator.ServeBinaryConn(server) }()
+		bw := cluster.NewBinaryWire(client)
+		if cfg.WireBatchRounds > 1 {
+			if err := bw.SetBatch(cfg.WireBatchRounds, cfg.WireBatchDelay); err != nil {
+				return nil, err
 			}
-			// The actuation direction of the same connection: control
-			// frames in, ACK frames out, interleaved with BATCH frames.
-			go func() { _ = bw.ServeControl(cluster.FrameworkControlHandler(f)) }()
-			wireControl = true
-			tr = bw
-		default:
-			go func() { _ = cs.Aggregator.ServeConn(server) }()
-			tr = cluster.NewWire(client)
+			// Keep the raw wire in hand: Chaos may wrap the transport,
+			// but Sync's barrier still needs to flush partial batches.
+			flushWire = bw.Flush
 		}
+		// The actuation direction of the same connection: control
+		// frames in, ACK frames out, interleaved with BATCH frames.
+		go func() { _ = bw.ServeControl(cluster.FrameworkControlHandler(f)) }()
+		tr = bw
 	} else {
 		tr = cluster.NewInProc(cs.Aggregator)
-	}
-	var control cluster.ControlHandler
-	if !wireControl {
-		// Gob and in-process streams carry no control frames; actuation
+		// The in-process transport carries no control frames; actuation
 		// reaches the framework through a synchronous local binding.
 		control = cluster.FrameworkControlHandler(f)
 		cs.Aggregator.BindLocalControl(name, control)
@@ -485,11 +473,11 @@ func (cs *ClusterStack) InjectLeak(nodeName, component string, size, n int, seed
 }
 
 // Sync blocks until every published round has been ingested — a no-op
-// for the in-process transport, and the wire transports' drain barrier
-// (gob decoding happens on reader goroutines, so the engine can finish a
-// schedule a few rounds before the aggregator does). Batched binary
-// wires flush their partial frames first, so a buffered round cannot
-// stall the barrier.
+// for the in-process transport, and the wire transport's drain barrier
+// (decoding happens on reader goroutines, so the engine can finish a
+// schedule a few rounds before the aggregator does). Batched wires flush
+// their partial frames first, so a buffered round cannot stall the
+// barrier.
 func (cs *ClusterStack) Sync() error {
 	var want int64
 	for _, n := range cs.Nodes {

@@ -119,21 +119,19 @@ func runParityScenario(t *testing.T, cfg Config, cc ClusterConfig) parityOutcome
 // parityVariants is the transport × aggregator-plane matrix every parity
 // run must agree across: the serial reference aggregator in-process,
 // then the sharded/parallel-fold aggregator over every transport —
-// in-process, gob on net pipes, the delta-encoded binary codec, and the
-// binary codec with the v5 BATCH flush policy (4 rounds per frame with a
-// short deadline).
+// in-process, the binary wire on net pipes, and the binary wire with the
+// v5 BATCH flush policy (4 rounds per frame with a short deadline).
 var parityVariants = []struct {
 	name string
 	cc   ClusterConfig
 }{
 	{"inproc-sharded", ClusterConfig{IngestLanes: 8, FoldWorkers: 4}},
-	{"gob-sharded", ClusterConfig{WireTransport: true, IngestLanes: 8, FoldWorkers: 4}},
-	{"binary-sharded", ClusterConfig{WireTransport: true, WireCodec: cluster.CodecBinary, IngestLanes: 8, FoldWorkers: 4}},
+	{"binary-sharded", ClusterConfig{WireTransport: true, IngestLanes: 8, FoldWorkers: 4}},
 	// Batching lets the flushing node run WireBatchRounds epochs ahead,
 	// so the staleness window widens with it (StaleEpochs > batch) — the
 	// deployment rule ClusterConfig documents. Eviction never fires in
 	// any parity run, so the widened window changes no verdict.
-	{"binary-batched-sharded", ClusterConfig{WireTransport: true, WireCodec: cluster.CodecBinary,
+	{"binary-batched-sharded", ClusterConfig{WireTransport: true,
 		WireBatchRounds: 4, WireBatchDelay: 2 * time.Millisecond, StaleEpochs: 8,
 		IngestLanes: 8, FoldWorkers: 4}},
 }
@@ -141,7 +139,7 @@ var parityVariants = []struct {
 // TestClusterTransportParity is the transport- and plane-independence
 // contract: the same three-node leak scenario must produce identical
 // cluster and per-node verdicts whatever carries the rounds (in-process
-// calls, gob frames, binary v5 frames, batched binary v5 frames) and
+// calls, binary v5 frames, batched binary v5 frames) and
 // whatever folds them (the serial reference aggregator or the sharded
 // ingest plane with a parallel fold pool).
 func TestClusterTransportParity(t *testing.T) {
@@ -161,6 +159,61 @@ func TestClusterTransportParity(t *testing.T) {
 	top, ok := (&memRep).Top()
 	if !ok || top.Pair() != "node2/"+ComponentA {
 		t.Fatalf("parity run lost the verdict: %+v", top)
+	}
+}
+
+// TestClusterStackWireCarriesControl pins that WireTransport carries
+// actuation on each node's binary connection: the stack registers no
+// local control binding for a wire node, so a drain command for node2
+// is answered only once node2 has published (teaching the aggregator
+// its route), and then by an ACK frame read off that connection.
+func TestClusterStackWireCarriesControl(t *testing.T) {
+	cs, err := NewClusterStack(ClusterConfig{
+		Nodes:         3,
+		Seed:          scenarioCfg.Seed,
+		Scale:         scenarioScale(scenarioCfg),
+		Mix:           eb.Shopping,
+		Detect:        scenarioDetectConfig(),
+		Policy:        cluster.RoundRobin,
+		WireTransport: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	if cs.Node("node2").control != nil {
+		t.Fatal("wire node2 carries a local control handler")
+	}
+	// A local binding would answer synchronously; with none, and no
+	// route learned yet, the command fails before SendControl returns.
+	var early error
+	answered := false
+	cs.Aggregator.SendControl("node2", cluster.ControlDrain, "", 0, func(_ cluster.ControlAck, err error) {
+		answered, early = true, err
+	})
+	if !answered || early == nil {
+		t.Fatalf("drain before node2 published: answered=%v err=%v, want a no-route failure", answered, early)
+	}
+
+	cs.Driver.Run([]eb.Phase{{Duration: 2 * time.Minute, EBs: 5}})
+	if err := cs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		ack cluster.ControlAck
+		err error
+	}
+	got := make(chan result, 1)
+	cs.Aggregator.SendControl("node2", cluster.ControlDrain, "", 0, func(ack cluster.ControlAck, err error) {
+		got <- result{ack, err}
+	})
+	select {
+	case r := <-got:
+		if r.err != nil || !r.ack.OK || r.ack.Kind != cluster.ControlDrain {
+			t.Fatalf("drain over the wire: ack=%+v err=%v", r.ack, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no ACK for the drain command over node2's wire")
 	}
 }
 

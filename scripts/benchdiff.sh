@@ -9,8 +9,8 @@
 #                 and share cores, so this is a smoke gate against
 #                 order-of-magnitude regressions, not a perf lab)
 #   -b benchtime  go test -benchtime (default 2000x — enough iterations to
-#                 amortise cold starts like gob's type descriptors while
-#                 staying a few seconds of CI time)
+#                 amortise cold starts like the codec's first-sighting name
+#                 interning while staying a few seconds of CI time)
 #   bench_regex   which benchmarks to run (default: the monitoring-plane and
 #                 request-path set; the sub-10ns aspect fast-path benches are
 #                 excluded because a fixed-iteration run of a nanosecond op

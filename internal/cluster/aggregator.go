@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"hash/maphash"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -49,11 +48,6 @@ type Config struct {
 	// the serial reference configuration for parity tests. Verdicts do
 	// not depend on the lane count.
 	IngestLanes int
-	// FoldWorkers bounds the worker pool the epoch fold spreads its
-	// per-resource verdict assembly over (default GOMAXPROCS, capped at
-	// the resource count). 1 folds inline on the completing publisher's
-	// goroutine. Verdicts do not depend on the worker count.
-	FoldWorkers int
 	// LaneQueueDepth bounds how many publishers may occupy one ingest
 	// lane at once — admitted and executing, or parked on the lane lock
 	// (default 1024). A round arriving at a full lane is shed and
@@ -86,12 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IngestLanes <= 0 {
 		c.IngestLanes = 32
-	}
-	if c.FoldWorkers <= 0 {
-		c.FoldWorkers = runtime.GOMAXPROCS(0)
-	}
-	if n := len(core.DetectorResources); c.FoldWorkers > n {
-		c.FoldWorkers = n
 	}
 	if c.LaneQueueDepth <= 0 {
 		c.LaneQueueDepth = 1024
@@ -170,7 +158,7 @@ type nodeState struct {
 	// alarmed — recorded at fold time, because deriving it from the
 	// detector's round counter breaks whenever the epoch base moves
 	// (rejoin) or the sequence gaps (publish failures). Indexed by
-	// resource so parallel fold workers touch disjoint maps.
+	// resource, in the aggregator's resource order.
 	firstAlarm []map[string]int64
 
 	// Lock-free views for read paths and the epoch watermark check.
@@ -369,8 +357,7 @@ type Aggregator struct {
 	// resource's reports through a fixed ring instead of allocating one
 	// per epoch. A *ClusterReport from Report stays valid for
 	// retention-1 further epochs; a consumer keeping one longer must
-	// copy it. Indexed by resource index so parallel fold workers touch
-	// disjoint slots. Owned by foldMu.
+	// copy it. Indexed by resource index. Owned by foldMu.
 	reportRing [][]*ClusterReport
 	ringIdx    []int
 	retention  int
@@ -379,10 +366,8 @@ type Aggregator struct {
 	// component -> latched scope. Latched by component, not by the
 	// alarming node set — the set of flagged nodes may churn while the
 	// component keeps aging, and that must not read as clear/raise.
-	// Owned by foldMu (the outer map is pre-populated per resource so
-	// parallel fold workers touch disjoint inner maps); the pending
-	// queue has its own mutex so DrainNotifications never blocks on a
-	// fold in progress.
+	// Owned by foldMu; the pending queue has its own mutex so
+	// DrainNotifications never blocks on a fold in progress.
 	alarmed map[string]map[string]*latchedAlarm
 
 	notifMu sync.Mutex
@@ -431,7 +416,6 @@ type resourceFold struct {
 	compOrder   []string
 	seen        map[string]bool
 	cleared     []string
-	notifs      []jmx.Notification
 	rep         *ClusterReport // the report this epoch's fold assembled
 }
 
@@ -520,7 +504,7 @@ func (a *Aggregator) laneFor(node string) *ingestLane {
 
 // nextReport rotates a resource's report ring and returns the next slot
 // reset for the coming epoch (the Verdicts buffer is kept). Caller holds
-// a.foldMu; parallel fold workers call it for disjoint resource indices.
+// a.foldMu.
 func (a *Aggregator) nextReport(ri int) *ClusterReport {
 	ring := a.reportRing[ri]
 	i := a.ringIdx[ri]
@@ -851,10 +835,12 @@ func (a *Aggregator) deactivate(st *nodeState) {
 
 // foldEpoch completes cluster epoch k: feeds the node-mix guard with the
 // per-node usage deltas, advances the churn hold, and publishes fresh
-// cluster reports, assembling the per-resource verdicts on the bounded
-// worker pool. Caller holds a.foldMu. The fold reads each node's per-seq
-// snapshots under that node's lane lock, so it never races the node's
-// next ingest; everything else it touches is fold-owned.
+// cluster reports. The detectors already ran at ingest, so the fold only
+// assembles verdicts from each node's alarming components, inline on the
+// goroutine that completed the epoch. Caller holds a.foldMu. The fold
+// reads each node's per-seq snapshots under that node's lane lock, so it
+// never races the node's next ingest; everything else it touches is
+// fold-owned.
 func (a *Aggregator) foldEpoch(k int64) {
 	foldStart := time.Now()
 	defer func() {
@@ -911,56 +897,22 @@ func (a *Aggregator) foldEpoch(k int64) {
 	at := a.lastMerged
 	a.tlMu.Unlock()
 
-	shared := foldEpochState{
+	ep := foldEpochState{
 		k: k, at: at, active: active, total: total,
 		suppressed: suppressed, churning: churning,
 		shiftDistance: a.guard.Distance(), shiftEpochs: a.shiftEp,
 	}
-	if w := a.cfg.FoldWorkers; w > 1 {
-		var wg sync.WaitGroup
-		var cursor atomic.Int64
-		wg.Add(w)
-		for i := 0; i < w; i++ {
-			go func() {
-				defer wg.Done()
-				for {
-					ri := int(cursor.Add(1)) - 1
-					if ri >= len(a.resources) {
-						return
-					}
-					a.foldResource(ri, shared)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for ri := range a.resources {
-			a.foldResource(ri, shared)
-		}
+	for ri := range a.resources {
+		a.foldResource(ri, ep)
 	}
 
-	// Publish the fresh reports and queued notification transitions in
-	// resource order — identical to the serial fold's output order.
+	// Publish the fresh reports together, so a reader never sees one
+	// resource at epoch k and another at k-1.
 	a.repMu.Lock()
 	for ri, res := range a.resources {
 		a.reports[res] = a.foldScratch[ri].rep
 	}
 	a.repMu.Unlock()
-	a.notifMu.Lock()
-	for ri := range a.resources {
-		sc := &a.foldScratch[ri]
-		for i := range sc.notifs {
-			if len(a.pending) >= a.cfg.NotifCap {
-				// Undrained backlog at the cap: drop newest, keep the
-				// oldest transitions (the raise that started the story).
-				a.notifDropped.Add(int64(len(sc.notifs) - i))
-				break
-			}
-			a.pending = append(a.pending, sc.notifs[i])
-		}
-		sc.notifs = sc.notifs[:0]
-	}
-	a.notifMu.Unlock()
 
 	// Queue the epoch for verdict subscribers (the rejuvenation
 	// controller). Skipped entirely with no subscribers, keeping plain
@@ -998,8 +950,8 @@ func (a *Aggregator) foldEpoch(k int64) {
 	}
 }
 
-// foldEpochState is the epoch-constant context shared by the
-// per-resource fold workers.
+// foldEpochState is the epoch-constant context every resource's fold
+// shares.
 type foldEpochState struct {
 	k             int64
 	at            time.Time
@@ -1011,9 +963,8 @@ type foldEpochState struct {
 }
 
 // foldResource assembles one resource's cluster report and verdicts for
-// the epoch. Callers (the fold's worker pool) pass disjoint resource
-// indices, and everything touched is either indexed by ri or owned by
-// this node+resource pair, so workers never share mutable state.
+// the epoch from the nodes' alarming components, and queues the alarm
+// transitions they imply. Caller holds a.foldMu.
 func (a *Aggregator) foldResource(ri int, ep foldEpochState) {
 	res := a.resources[ri]
 	rep := a.nextReport(ri)
@@ -1112,9 +1063,8 @@ func (a *Aggregator) foldResource(ri int, ep foldEpochState) {
 // no node flags it any more. The alarming-node set may otherwise churn
 // without spamming the stream. New alarms and promotions are not
 // announced while suppressed (churn or node-mix shift); clears always
-// are. Caller is a fold worker: the latch map and scratch are owned by
-// this resource, and the notifications queue into the resource's scratch
-// so the fold can publish them in deterministic resource order.
+// are. Caller holds a.foldMu; the fold visits resources in order, so
+// the queue holds transitions in epoch, then resource order.
 func (a *Aggregator) queueTransitions(sc *resourceFold, rep *ClusterReport, suppressed bool) {
 	was := a.alarmed[rep.Resource]
 	clear(sc.seen)
@@ -1130,7 +1080,7 @@ func (a *Aggregator) queueTransitions(sc *resourceFold, rep *ClusterReport, supp
 			if v.ClusterWide {
 				scope = "cluster-wide"
 			}
-			sc.notifs = append(sc.notifs, jmx.Notification{
+			a.notify(jmx.Notification{
 				Type:   NotifClusterAlarm,
 				Source: AggregatorName(),
 				Message: fmt.Sprintf("%s aging: %s on %s (%d/%d nodes, score %.4g, epoch %d)",
@@ -1141,7 +1091,7 @@ func (a *Aggregator) queueTransitions(sc *resourceFold, rep *ClusterReport, supp
 		}
 		if v.ClusterWide && !latch.clusterWide && !suppressed {
 			latch.clusterWide = true
-			sc.notifs = append(sc.notifs, jmx.Notification{
+			a.notify(jmx.Notification{
 				Type:   NotifClusterAlarm,
 				Source: AggregatorName(),
 				Message: fmt.Sprintf("aging on %s promoted to cluster-wide (%s on %d/%d nodes, epoch %d)",
@@ -1159,7 +1109,7 @@ func (a *Aggregator) queueTransitions(sc *resourceFold, rep *ClusterReport, supp
 	sort.Strings(sc.cleared)
 	for _, comp := range sc.cleared {
 		delete(was, comp)
-		sc.notifs = append(sc.notifs, jmx.Notification{
+		a.notify(jmx.Notification{
 			Type:    NotifClusterAlarm,
 			Source:  AggregatorName(),
 			Message: fmt.Sprintf("cluster alarm cleared: %s (%s, epoch %d)", comp, rep.Resource, rep.Epoch),
@@ -1167,20 +1117,51 @@ func (a *Aggregator) queueTransitions(sc *resourceFold, rep *ClusterReport, supp
 	}
 }
 
+// notify queues one alarm transition for DrainNotifications. Once the
+// undrained backlog reaches NotifCap it keeps the oldest transitions
+// (the raise that started the story) and drops and counts the newest.
+func (a *Aggregator) notify(n jmx.Notification) {
+	a.notifMu.Lock()
+	if len(a.pending) < a.cfg.NotifCap {
+		a.pending = append(a.pending, n)
+	} else {
+		a.notifDropped.Add(1)
+	}
+	a.notifMu.Unlock()
+}
+
 // SyncFolds folds every epoch completable from the rounds already
 // ingested and blocks until any in-flight fold has published its
 // reports. The ingest path never needs it — maybeFold's gate guarantees
-// no completable epoch is left unfolded *eventually* — but a caller
-// that has just barriered on TotalRounds and is about to read reports
-// needs a synchronous point: a round is counted before the fold it
-// completes runs (and that fold may even be executed by another
-// publisher's in-flight completeEpochs loop), so "all rounds ingested"
-// does not mean "all epochs published" until this returns.
+// no completable epoch is left unfolded *eventually* — but a round is
+// counted before the fold it completes runs (and that fold may even be
+// executed by another publisher's in-flight completeEpochs loop), so
+// "all rounds ingested" does not mean "all epochs published" until this
+// returns. A caller waiting on rounds from asynchronous transports wants
+// WaitFolded, which ends here.
 func (a *Aggregator) SyncFolds() {
 	a.foldMu.Lock()
 	a.completeEpochs()
 	a.foldMu.Unlock()
 	a.deliverEpochEvents()
+}
+
+// WaitFolded is the verdict barrier: it blocks until the aggregator has
+// ingested at least rounds rounds and every epoch they complete has
+// published its reports, so a caller that handed rounds to asynchronous
+// transports can read verdicts next. If the rounds have not all arrived
+// by the timeout it returns an error naming the ingested and wanted
+// counts.
+func (a *Aggregator) WaitFolded(rounds int64, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for a.total.Load() < rounds {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: aggregator ingested %d of %d rounds", a.total.Load(), rounds)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.SyncFolds()
+	return nil
 }
 
 // ShedRounds reports how many rounds the admission gate shed at a full

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -51,13 +52,13 @@ func shardedParityScenario(a *Aggregator) ([]jmx.Notification, map[string][]Clus
 	return notifs, verdicts, a.Nodes()
 }
 
-// TestAggregatorShardedFoldMatchesSerial pins the tentpole contract: the
-// lane-sharded aggregator with a parallel fold pool produces the same
-// notification stream, verdicts and membership as the serial reference
-// configuration (one lane, inline fold), byte for byte.
+// TestAggregatorShardedFoldMatchesSerial pins the sharding contract: the
+// lane-sharded aggregator produces the same notification stream,
+// verdicts and membership as the serial reference configuration (one
+// lane), byte for byte.
 func TestAggregatorShardedFoldMatchesSerial(t *testing.T) {
-	serial := New(Config{Detect: testDetect(), IngestLanes: 1, FoldWorkers: 1})
-	sharded := New(Config{Detect: testDetect(), IngestLanes: 8, FoldWorkers: 4})
+	serial := New(Config{Detect: testDetect(), IngestLanes: 1})
+	sharded := New(Config{Detect: testDetect(), IngestLanes: 8})
 
 	wantNotifs, wantVerdicts, wantNodes := shardedParityScenario(serial)
 	gotNotifs, gotVerdicts, gotNodes := shardedParityScenario(sharded)
@@ -170,13 +171,14 @@ func TestAggregatorConcurrentPublishersSoak(t *testing.T) {
 
 // TestLeaveResetRaceParallelFold hammers the administrative membership
 // surface — Leave and ResetNode, the operations a rejuvenation
-// controller or an operator issues — against in-flight parallel folds
-// and concurrent publishers. The race detector asserts the locking; the
+// controller or an operator issues — against concurrent publishers on
+// several lanes, whose rounds complete and fold epochs while Leave and
+// ResetNode run. The race detector asserts the locking; the
 // test asserts the plane comes out coherent: nodes that kept publishing
 // rejoin, epochs advance, and every admission slot is released.
 func TestLeaveResetRaceParallelFold(t *testing.T) {
 	const nodes, rounds = 6, 80
-	a := New(Config{Detect: testDetect(), IngestLanes: 4, FoldWorkers: 4})
+	a := New(Config{Detect: testDetect(), IngestLanes: 4})
 	names := make([]string, nodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("node%d", i+1)
@@ -260,4 +262,59 @@ func TestLeaveResetRaceParallelFold(t *testing.T) {
 		// node against the default 1024-deep lanes: nothing may shed.
 		t.Fatalf("ShedRounds = %d under a paced load", a.ShedRounds())
 	}
+}
+
+// foldAllocsPerEpoch drives a fresh 3-node aggregator past its window
+// fill, then returns the mean heap allocations per steady-state epoch
+// (three ingests and the fold they complete), counted from the runtime's
+// malloc total over the given number of epochs.
+func foldAllocsPerEpoch(epochs int) float64 {
+	a := New(Config{Detect: testDetect()})
+	gens := []*roundGen{newRoundGen("node1"), newRoundGen("node2"), newRoundGen("node3")}
+	a.Expect("node1", "node2", "node3")
+	seq := int64(0)
+	round := func() {
+		seq++
+		for _, g := range gens {
+			a.Ingest(g.at(seq))
+		}
+	}
+	for seq < 64 {
+		round()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < epochs; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(epochs)
+}
+
+// TestFoldAllocsIndependentOfGOMAXPROCS pins the epoch fold's allocation
+// count at every GOMAXPROCS: the fold runs inline on the completing
+// ingest, so more processors must not mean more allocations per epoch.
+// testing.AllocsPerRun forces GOMAXPROCS=1, so the test counts mallocs
+// itself; each setting keeps its quietest of three runs, so a stray
+// allocation elsewhere in the process does not read as fold cost.
+func TestFoldAllocsIndependentOfGOMAXPROCS(t *testing.T) {
+	const epochs = 300
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	mean := make(map[int]float64)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		best := foldAllocsPerEpoch(epochs)
+		for i := 0; i < 2; i++ {
+			best = min(best, foldAllocsPerEpoch(epochs))
+		}
+		mean[procs] = best
+	}
+	for _, procs := range []int{2, 4} {
+		if extra := mean[procs] - mean[1]; extra > 0.5 {
+			t.Errorf("GOMAXPROCS=%d: %.2f allocs/epoch, %.2f more than at GOMAXPROCS=1 (%.2f)",
+				procs, mean[procs], extra, mean[1])
+		}
+	}
+	t.Logf("allocs/epoch by GOMAXPROCS: 1=%.2f 2=%.2f 4=%.2f", mean[1], mean[2], mean[4])
 }

@@ -44,23 +44,9 @@ func feedCluster(t *testing.T, agg *Aggregator, trs map[string]Transport, leaks 
 				}
 			}
 		}
-		waitRounds(t, agg, int64(len(trs))*seq)
-	}
-	// TotalRounds counts a round at ingest, before the fold it completes
-	// has run; fold to the final watermark before callers read reports.
-	agg.SyncFolds()
-}
-
-// waitRounds blocks until the aggregator has ingested n rounds (wire
-// delivery is asynchronous) or the deadline passes.
-func waitRounds(t *testing.T, a *Aggregator, n int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for a.TotalRounds() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("aggregator ingested %d/%d rounds before deadline", a.TotalRounds(), n)
+		if err := agg.WaitFolded(int64(len(trs))*seq, 5*time.Second); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

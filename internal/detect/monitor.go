@@ -286,9 +286,10 @@ type componentState struct {
 // resource. Observe is single-owner (the sampling round); Latest is safe
 // from any goroutine. "Single-owner" is a contract, not a serial-world
 // assumption: owners may move between goroutines as long as calls never
-// overlap — the cluster aggregator's parallel fold pool drives many
-// monitors concurrently, one worker per node's bank at a time, and is
-// exactly such an owner.
+// overlap — the cluster aggregator's ingest lanes drive many monitors
+// concurrently, each node's bank under its own lane lock on whichever
+// publisher goroutine delivers that node's round, and are exactly such
+// owners.
 //
 // A steady-state Observe round allocates nothing: the round's delta
 // scratch, the guard's distributions, every detector's window state and

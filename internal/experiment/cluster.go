@@ -66,11 +66,10 @@ type ClusterConfig struct {
 	// StaleEpochs overrides the aggregator's laggard-eviction window
 	// (0 = its default). Size it above WireBatchRounds when batching.
 	StaleEpochs int
-	// IngestLanes and FoldWorkers tune the aggregator's sharded ingest
-	// plane (0 = defaults; 1/1 = the serial reference configuration).
-	// Verdicts must not depend on either.
+	// IngestLanes tunes the aggregator's sharded ingest plane (0 = its
+	// default; 1 = the serial reference configuration). Verdicts must
+	// not depend on it.
 	IngestLanes int
-	FoldWorkers int
 	// Rejuv, when non-nil, closes the loop: a rejuvenation controller
 	// subscribes to the aggregator's epoch verdicts and drives the
 	// drain / micro-reboot / probation / re-admit cycle against the
@@ -211,7 +210,6 @@ func NewClusterStack(cfg ClusterConfig) (*ClusterStack, error) {
 		Quorum:         cfg.Quorum,
 		StaleEpochs:    cfg.StaleEpochs,
 		IngestLanes:    cfg.IngestLanes,
-		FoldWorkers:    cfg.FoldWorkers,
 		LaneQueueDepth: cfg.LaneQueueDepth,
 		NotifCap:       cfg.NotifCap,
 	}
@@ -472,12 +470,12 @@ func (cs *ClusterStack) InjectLeak(nodeName, component string, size, n int, seed
 	return leak, nil
 }
 
-// Sync blocks until every published round has been ingested — a no-op
-// for the in-process transport, and the wire transport's drain barrier
-// (decoding happens on reader goroutines, so the engine can finish a
-// schedule a few rounds before the aggregator does). Batched wires flush
-// their partial frames first, so a buffered round cannot stall the
-// barrier.
+// Sync blocks until every published round has been ingested and every
+// epoch those rounds complete has published its verdicts. For the wire
+// transport it is also the drain barrier: decoding happens on reader
+// goroutines, so the engine can finish a schedule a few rounds before
+// the aggregator does. Batched wires flush their partial frames first,
+// so a buffered round cannot stall the barrier.
 func (cs *ClusterStack) Sync() error {
 	var want int64
 	for _, n := range cs.Nodes {
@@ -494,17 +492,9 @@ func (cs *ClusterStack) Sync() error {
 	}
 	// Rounds that died with a failed-over aggregator can never arrive.
 	want -= cs.lostRounds
-	deadline := time.Now().Add(10 * time.Second)
-	for cs.Aggregator.TotalRounds() < want {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiment: aggregator ingested %d of %d rounds",
-				cs.Aggregator.TotalRounds(), want)
-		}
-		time.Sleep(time.Millisecond)
+	if err := cs.Aggregator.WaitFolded(want, 10*time.Second); err != nil {
+		return fmt.Errorf("experiment: %w", err)
 	}
-	// Rounds are counted before the folds they complete publish; fold to
-	// the final watermark before callers read reports.
-	cs.Aggregator.SyncFolds()
 	cs.FlushNotifications()
 	return nil
 }

@@ -118,32 +118,32 @@ func runParityScenario(t *testing.T, cfg Config, cc ClusterConfig) parityOutcome
 
 // parityVariants is the transport × aggregator-plane matrix every parity
 // run must agree across: the serial reference aggregator in-process,
-// then the sharded/parallel-fold aggregator over every transport —
+// then the lane-sharded aggregator over every transport —
 // in-process, the binary wire on net pipes, and the binary wire with the
 // v5 BATCH flush policy (4 rounds per frame with a short deadline).
 var parityVariants = []struct {
 	name string
 	cc   ClusterConfig
 }{
-	{"inproc-sharded", ClusterConfig{IngestLanes: 8, FoldWorkers: 4}},
-	{"binary-sharded", ClusterConfig{WireTransport: true, IngestLanes: 8, FoldWorkers: 4}},
+	{"inproc-sharded", ClusterConfig{IngestLanes: 8}},
+	{"binary-sharded", ClusterConfig{WireTransport: true, IngestLanes: 8}},
 	// Batching lets the flushing node run WireBatchRounds epochs ahead,
 	// so the staleness window widens with it (StaleEpochs > batch) — the
 	// deployment rule ClusterConfig documents. Eviction never fires in
 	// any parity run, so the widened window changes no verdict.
 	{"binary-batched-sharded", ClusterConfig{WireTransport: true,
 		WireBatchRounds: 4, WireBatchDelay: 2 * time.Millisecond, StaleEpochs: 8,
-		IngestLanes: 8, FoldWorkers: 4}},
+		IngestLanes: 8}},
 }
 
 // TestClusterTransportParity is the transport- and plane-independence
 // contract: the same three-node leak scenario must produce identical
 // cluster and per-node verdicts whatever carries the rounds (in-process
 // calls, binary v5 frames, batched binary v5 frames) and
-// whatever folds them (the serial reference aggregator or the sharded
-// ingest plane with a parallel fold pool).
+// whatever ingests them (the serial reference aggregator or the
+// lane-sharded ingest plane).
 func TestClusterTransportParity(t *testing.T) {
-	serial := runParityScenario(t, scenarioCfg, ClusterConfig{IngestLanes: 1, FoldWorkers: 1})
+	serial := runParityScenario(t, scenarioCfg, ClusterConfig{IngestLanes: 1})
 	for _, v := range parityVariants {
 		got := runParityScenario(t, scenarioCfg, v.cc)
 		if !reflect.DeepEqual(serial.clusterReports, got.clusterReports) {
@@ -226,7 +226,7 @@ func TestClusterTransportParityFullScale(t *testing.T) {
 	}
 	cfg := scenarioCfg
 	cfg.TimeScale = 1.0
-	serial := runParityScenario(t, cfg, ClusterConfig{IngestLanes: 1, FoldWorkers: 1})
+	serial := runParityScenario(t, cfg, ClusterConfig{IngestLanes: 1})
 	batched := runParityScenario(t, cfg, parityVariants[len(parityVariants)-1].cc)
 	if !reflect.DeepEqual(serial.clusterReports, batched.clusterReports) {
 		t.Fatalf("full-scale cluster reports differ:\nserial:  %+v\nbatched: %+v",

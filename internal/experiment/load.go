@@ -93,10 +93,9 @@ type LoadConfig struct {
 	// so a shard flushing a full frame never evicts its peers.
 	MonitorWire        bool
 	MonitorBatchRounds int
-	// IngestLanes and FoldWorkers tune the aggregator's sharded ingest
-	// plane (0 = defaults).
+	// IngestLanes tunes the aggregator's sharded ingest plane (0 = its
+	// default).
 	IngestLanes int
-	FoldWorkers int
 }
 
 // LoadShard is one shard's full application stack (BackendContainer
@@ -157,7 +156,6 @@ func NewLoadStack(cfg LoadConfig) (*LoadStack, error) {
 			Detect:      cfg.Detect,
 			StaleEpochs: stale,
 			IngestLanes: cfg.IngestLanes,
-			FoldWorkers: cfg.FoldWorkers,
 		})
 	}
 	var factory eb.TargetFactory
@@ -321,9 +319,9 @@ func (ls *LoadStack) InjectLeak(shard int, component string, size, n int, seed u
 }
 
 // SyncMonitor flushes any partial BATCH frames and blocks until the
-// aggregator has ingested every round the shard forwarders published —
-// the monitored-run counterpart of ClusterStack.Sync. No-op when the
-// stack is unmonitored.
+// aggregator has ingested every round the shard forwarders published
+// and folded the epochs they complete — the monitored-run counterpart
+// of ClusterStack.Sync. No-op when the stack is unmonitored.
 func (ls *LoadStack) SyncMonitor() error {
 	if ls.Aggregator == nil {
 		return nil
@@ -337,13 +335,8 @@ func (ls *LoadStack) SyncMonitor() error {
 			want += sh.forwarder.Rounds() - sh.forwarder.Errors()
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for ls.Aggregator.TotalRounds() < want {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiment: aggregator ingested %d of %d shard rounds",
-				ls.Aggregator.TotalRounds(), want)
-		}
-		time.Sleep(time.Millisecond)
+	if err := ls.Aggregator.WaitFolded(want, 10*time.Second); err != nil {
+		return fmt.Errorf("experiment: shard rounds: %w", err)
 	}
 	return nil
 }

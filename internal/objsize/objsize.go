@@ -248,18 +248,20 @@ func (w *walker) mark(ptr uintptr, typ reflect.Type) bool {
 }
 
 // indirCache memoizes hasIndirections per type; the type set of a program
-// is small and fixed, so a global cache is both safe and effective.
+// is small and fixed, so a global cache is both safe and effective. It
+// holds only final answers: samplers on other goroutines read it while
+// an entry is being computed.
 var indirCache sync.Map // reflect.Type -> bool
 
 // hasIndirections reports whether values of type t can reference data
-// outside their inline representation.
+// outside their inline representation. The recursion needs no cycle
+// guard: it descends only into struct fields and array elements held by
+// value, and a Go type cannot contain itself by value, so every path
+// ends at a pointer-like kind (answered without descending) or a scalar.
 func hasIndirections(t reflect.Type) bool {
 	if v, ok := indirCache.Load(t); ok {
 		return v.(bool)
 	}
-	// Mark in-progress types as false to terminate recursive types; the
-	// final value overwrites it below.
-	indirCache.Store(t, false)
 	res := false
 	switch t.Kind() {
 	case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map,

@@ -1,6 +1,11 @@
 package objsize
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -228,6 +233,65 @@ func TestArrayElementsInline(t *testing.T) {
 	want := 4*hdr + 40 // array is inline; payloads are one hop away
 	if got != want {
 		t.Fatalf("array = %d, want %d", got, want)
+	}
+}
+
+// freshTypes counts the type pairs TestConcurrentIndirectionsOfEnclosingType
+// builds, so each run (-count, repeated processes) gets types no earlier
+// measurement has cached.
+var freshTypes atomic.Int64
+
+// TestConcurrentIndirectionsOfEnclosingType measures an enclosing type on
+// one goroutine while its inner type is still being classified on
+// another. The inner type holds a []byte after many pointer-free fields,
+// so its answer is true but takes a while to compute; a cache that
+// exposed an in-progress answer would let the outer type be cached as
+// pointer-free for good, and every later measurement of it would read
+// its shallow size.
+func TestConcurrentIndirectionsOfEnclosingType(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2 to overlap the two classifications")
+	}
+	salt := freshTypes.Add(1)
+	fields := make([]reflect.StructField, 0, 65)
+	for i := 0; i < 64; i++ {
+		fields = append(fields, reflect.StructField{
+			Name: fmt.Sprintf("F%d_%d", salt, i), Type: reflect.TypeOf(int64(0)),
+		})
+	}
+	fields = append(fields, reflect.StructField{Name: "Buf", Type: reflect.TypeOf([]byte(nil))})
+	inner := reflect.StructOf(fields)
+	outer := reflect.StructOf([]reflect.StructField{
+		{Name: "N", Type: reflect.TypeOf(int64(0))},
+		{Name: "In", Type: inner},
+	})
+
+	var innerRes, outerRes bool
+	var spinning atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		spinning.Store(true)
+		for {
+			if _, ok := indirCache.Load(inner); ok {
+				break
+			}
+		}
+		outerRes = hasIndirections(outer)
+	}()
+	// Start classifying inner only once the watcher is running on the
+	// other P, so the two overlap instead of running back to back.
+	for !spinning.Load() {
+		runtime.Gosched()
+	}
+	go func() {
+		defer wg.Done()
+		innerRes = hasIndirections(inner)
+	}()
+	wg.Wait()
+	if !innerRes || !outerRes {
+		t.Fatalf("hasIndirections: inner = %v, outer = %v, want both true", innerRes, outerRes)
 	}
 }
 
